@@ -187,13 +187,18 @@ impl DefenseStack {
 
     /// Parses a `+`-joined stack expression. Each member resolves by its
     /// short catalog token (`kpti`, case-insensitive) or its full name
-    /// (`KAISER/KPTI`) — see [`crate::resolve`].
+    /// (`KAISER/KPTI`) — see [`crate::resolve`]. The whole expression is
+    /// tried as one catalog name first, so a defense whose own name
+    /// contains `+` (`SpecShieldERP+`) parses back as a singleton.
     ///
     /// # Errors
     ///
     /// [`StackError::UnknownDefense`] for an unresolvable member, plus
     /// everything [`DefenseStack::new`] rejects.
     pub fn parse(expr: &str) -> Result<Self, StackError> {
+        if let Some(&defense) = crate::resolve(expr.trim()) {
+            return Ok(Self::single(defense));
+        }
         let members = expr
             .split('+')
             .map(str::trim)
@@ -466,6 +471,17 @@ mod tests {
         let single = DefenseStack::single(defense(names::NDA));
         assert_eq!(single.name(), names::NDA);
         assert_eq!("nda".parse::<DefenseStack>().unwrap(), single);
+    }
+
+    #[test]
+    fn a_name_containing_plus_parses_as_a_singleton() {
+        let erp = DefenseStack::parse(names::SPECSHIELD_ERP).unwrap();
+        assert_eq!(erp, DefenseStack::single(defense(names::SPECSHIELD_ERP)));
+        // Every catalog defense's stack name round-trips.
+        for d in crate::registry() {
+            let single = DefenseStack::single(*d);
+            assert_eq!(DefenseStack::parse(single.name()).unwrap(), single);
+        }
     }
 
     #[test]

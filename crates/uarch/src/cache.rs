@@ -136,7 +136,7 @@ impl Cache {
         let tick = self.tick;
         let base = Self::line_base(paddr);
         let set = self.set_index(paddr);
-        let word = ((paddr - base) / 8) as usize;
+        let word = word_offset(paddr);
         let (partitioned, dom) = (self.partitioned, self.active_domain);
         if let Some(line) = self.sets[set]
             .iter_mut()
@@ -210,7 +210,7 @@ impl Cache {
     pub fn write_through(&mut self, paddr: u64, value: u64) -> bool {
         let base = Self::line_base(paddr);
         let set = self.set_index(paddr);
-        let word = ((paddr - base) / 8) as usize;
+        let word = word_offset(paddr);
         // Writes update the line regardless of domain (coherence), without
         // changing timing-observable ownership.
         if let Some(line) = self.sets[set].iter_mut().find(|l| l.base == base) {
@@ -289,13 +289,9 @@ impl Cache {
     }
 }
 
-/// Builds a line's worth of data from a word-reader callback.
-pub fn line_data(base: u64, mut read: impl FnMut(u64) -> u64) -> [u64; WORDS_PER_LINE] {
-    let mut data = [0u64; WORDS_PER_LINE];
-    for (i, w) in data.iter_mut().enumerate() {
-        *w = read(base + (i as u64) * 8);
-    }
-    data
+/// Index of the word containing `paddr` within its line.
+pub(crate) fn word_offset(paddr: u64) -> usize {
+    ((paddr % LINE_SIZE) / 8) as usize
 }
 
 #[cfg(test)]
@@ -392,13 +388,6 @@ mod tests {
         c.fill(0x80, [0; WORDS_PER_LINE]);
         assert!(!c.contains(0x00));
         assert!(c.contains(0x80));
-    }
-
-    #[test]
-    fn line_data_reader() {
-        let d = line_data(0x40, |a| a);
-        assert_eq!(d[0], 0x40);
-        assert_eq!(d[7], 0x78);
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod config;
 mod error;
 mod event;
 mod fpu;
+mod hash;
 mod machine;
 mod mem;
 pub mod mmu;

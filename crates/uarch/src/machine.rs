@@ -8,7 +8,7 @@
 //! models.
 
 use crate::buffers::{LineFillBuffer, LoadPorts, StoreBuffer};
-use crate::cache::{line_data, Cache, LINE_SIZE, WORDS_PER_LINE};
+use crate::cache::{word_offset, Cache, LINE_SIZE, WORDS_PER_LINE};
 use crate::config::UarchConfig;
 use crate::error::UarchError;
 use crate::event::{SquashCause, TraceEvent, TransientSource};
@@ -62,7 +62,7 @@ enum EntryState {
     Done,
 }
 
-/// A victim line displaced by a speculative fill: its base address and
+/// A victim line displaced by a cache fill: its base address and
 /// data, or `None` when the fill landed in an empty way.
 type EvictedLine = Option<(u64, [u64; WORDS_PER_LINE])>;
 
@@ -474,13 +474,16 @@ impl Machine {
     /// [`UarchError::Unmapped`] if no PTE exists for the page.
     pub fn timed_read(&mut self, vaddr: u64) -> Result<u64, UarchError> {
         let paddr = self.setup_paddr(vaddr)?;
-        let latency = if self.cache.lookup(paddr).is_some() {
-            self.cfg.cache_hit_latency
+        // The load port sees the memory word even on a hit: a resident line
+        // can be older than memory (a victim CleanupSpec restored, or
+        // another DAWG domain's copy that a store did not write through).
+        let (latency, value) = if self.cache.lookup(paddr).is_some() {
+            (self.cfg.cache_hit_latency, self.memory.read_u64(paddr))
         } else {
-            self.fill_line(paddr);
-            self.cfg.cache_miss_latency
+            let (line, _) = self.fill_line(paddr);
+            (self.cfg.cache_miss_latency, line[word_offset(paddr)])
         };
-        self.load_ports.record(self.memory.read_u64(paddr));
+        self.load_ports.record(value);
         self.cycle += latency;
         Ok(latency)
     }
@@ -598,13 +601,14 @@ impl Machine {
         }
     }
 
-    fn fill_line(&mut self, paddr: u64) -> u64 {
+    /// Fills the line containing `paddr` from memory, through the line-fill
+    /// buffer into the cache. Returns the line's data and the line the fill
+    /// evicted, if any.
+    fn fill_line(&mut self, paddr: u64) -> ([u64; WORDS_PER_LINE], EvictedLine) {
         let base = paddr & !(LINE_SIZE - 1);
-        let mem = &self.memory;
-        let data = line_data(base, |a| mem.read_u64(a));
+        let data = self.memory.read_line(base);
         self.lfb.record(base, data);
-        self.cache.fill(base, data);
-        base
+        (data, self.cache.fill(base, data))
     }
 
     // ------------------------------------------------------------------
@@ -1498,26 +1502,25 @@ impl Machine {
             value = self.cache.lookup(paddr).expect("hit");
             lat = self.cfg.translation_latency + self.cfg.cache_hit_latency;
         } else {
-            value = self.memory.read_u64(paddr);
             lat = self.cfg.translation_latency + self.cfg.cache_miss_latency;
             if self.cfg.invisible_spec && speculative {
                 // Strategy ③ (InvisiSpec/SafeSpec): data returns but the
                 // fill is deferred to commit.
+                value = self.memory.read_u64(paddr);
                 self.rob[idx].deferred_fill = Some(paddr);
                 self.report_blocked(idx, "invisible-spec");
             } else {
-                let line = paddr & !(LINE_SIZE - 1);
-                let was_present = self.cache.contains(line);
-                let mem = &self.memory;
-                let data = line_data(line, |a| mem.read_u64(a));
-                self.lfb.record(line, data);
-                let evicted = self.cache.fill(line, data);
+                let (data, evicted) = self.fill_line(paddr);
+                value = data[word_offset(paddr)];
                 if speculative {
+                    let line = paddr & !(LINE_SIZE - 1);
                     self.record(TraceEvent::SpeculativeFill {
                         cycle: self.cycle,
                         line,
                     });
-                    if self.cfg.cleanup_spec && !was_present {
+                    // The line was absent (this is the miss path), so
+                    // CleanupSpec can undo the fill on a squash.
+                    if self.cfg.cleanup_spec {
                         self.rob[idx].filled_line = Some((line, evicted));
                     }
                 }
@@ -1571,10 +1574,9 @@ impl Machine {
                         // datapath blocks this branch — but not the cache
                         // branch above.
                         if !self.cfg.meltdown_fix_memory_path_only {
-                            let v = self.memory.read_u64(p);
                             // The transient access itself fills the cache.
-                            self.fill_line(p);
-                            return (v, Some(TransientSource::Memory));
+                            let (line, _) = self.fill_line(p);
+                            return (line[word_offset(p)], Some(TransientSource::Memory));
                         }
                         return (0, None);
                     }

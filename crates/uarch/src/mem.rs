@@ -1,15 +1,19 @@
 //! Flat physical memory.
 
-use std::collections::HashMap;
+use crate::cache::{word_offset, LINE_SIZE, WORDS_PER_LINE};
+use crate::hash::IntMap;
 
-/// Sparse, word-granular physical memory.
+/// Sparse physical memory, stored one 64-byte cache line per entry.
 ///
 /// All accesses are 8-byte and 8-byte aligned (the attack models never need
 /// sub-word granularity); unaligned addresses are rounded down. Unwritten
-/// memory reads as zero.
+/// memory reads as zero. Lines are keyed by line number, so a cache fill
+/// ([`read_line`](Memory::read_line)) costs one lookup, not eight.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    words: HashMap<u64, u64>,
+    lines: IntMap<u64, [u64; WORDS_PER_LINE]>,
+    /// Non-zero words across all lines.
+    words: usize,
 }
 
 impl Memory {
@@ -19,34 +23,55 @@ impl Memory {
         Self::default()
     }
 
-    fn align(addr: u64) -> u64 {
-        addr & !7
-    }
-
     /// Reads the 8-byte word containing `addr`.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        self.words.get(&Self::align(addr)).copied().unwrap_or(0)
+        self.lines
+            .get(&(addr / LINE_SIZE))
+            .map_or(0, |line| line[word_offset(addr)])
     }
 
-    /// Writes the 8-byte word containing `addr`.
+    /// Reads the whole 64-byte line containing `addr`.
+    #[must_use]
+    pub fn read_line(&self, addr: u64) -> [u64; WORDS_PER_LINE] {
+        self.lines
+            .get(&(addr / LINE_SIZE))
+            .copied()
+            .unwrap_or([0; WORDS_PER_LINE])
+    }
+
+    /// Writes the 8-byte word containing `addr`. Writing zero to the last
+    /// non-zero word of a line releases the line.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        if value == 0 {
-            self.words.remove(&Self::align(addr));
-        } else {
-            self.words.insert(Self::align(addr), value);
+        let (key, word) = (addr / LINE_SIZE, word_offset(addr));
+        if value != 0 {
+            let line = self.lines.entry(key).or_insert([0; WORDS_PER_LINE]);
+            self.words += usize::from(line[word] == 0);
+            line[word] = value;
+            return;
+        }
+        let Some(line) = self.lines.get_mut(&key) else {
+            return;
+        };
+        if line[word] != 0 {
+            line[word] = 0;
+            self.words -= 1;
+            if *line == [0; WORDS_PER_LINE] {
+                self.lines.remove(&key);
+            }
         }
     }
 
     /// Number of non-zero words stored.
     #[must_use]
     pub fn populated_words(&self) -> usize {
-        self.words.len()
+        self.words
     }
 
     /// Zeroes all of memory, keeping the heap capacity.
     pub fn clear(&mut self) {
-        self.words.clear();
+        self.lines.clear();
+        self.words = 0;
     }
 }
 
@@ -58,6 +83,7 @@ mod tests {
     fn zero_by_default() {
         let m = Memory::new();
         assert_eq!(m.read_u64(0x1234), 0);
+        assert_eq!(m.read_line(0x1234), [0; WORDS_PER_LINE]);
     }
 
     #[test]
@@ -75,9 +101,23 @@ mod tests {
     fn writing_zero_reclaims_storage() {
         let mut m = Memory::new();
         m.write_u64(8, 5);
-        assert_eq!(m.populated_words(), 1);
+        m.write_u64(16, 6);
+        assert_eq!(m.populated_words(), 2);
         m.write_u64(8, 0);
-        assert_eq!(m.populated_words(), 0);
+        assert_eq!(m.populated_words(), 1);
         assert_eq!(m.read_u64(8), 0);
+        m.write_u64(16, 0);
+        assert_eq!(m.populated_words(), 0);
+        assert!(m.lines.is_empty(), "an all-zero line is released");
+    }
+
+    #[test]
+    fn read_line_returns_the_lines_words() {
+        let mut m = Memory::new();
+        m.write_u64(0x1040, 1);
+        m.write_u64(0x1078, 8);
+        m.write_u64(0x1080, 9); // next line
+        let line = m.read_line(0x105f);
+        assert_eq!(line, [1, 0, 0, 0, 0, 0, 0, 8]);
     }
 }

@@ -11,8 +11,8 @@
 //! * **writable bit** — write faults (Spectre v1.2 writes read-only memory
 //!   transiently).
 
+use crate::hash::IntMap;
 use crate::result::Fault;
-use std::collections::HashMap;
 
 /// Page size: 4 KiB.
 pub const PAGE_SIZE: u64 = 4096;
@@ -81,10 +81,11 @@ pub enum PrivilegeLevel {
     Kernel,
 }
 
-/// A single-level page table over 4 KiB pages.
+/// A single-level page table over 4 KiB pages, keyed by virtual page
+/// number.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, PageEntry>,
+    entries: IntMap<u64, PageEntry>,
 }
 
 impl PageTable {

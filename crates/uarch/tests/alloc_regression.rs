@@ -2,10 +2,12 @@
 //!
 //! The campaign executor runs thousands of attack simulations on one
 //! pooled machine per worker; the win only holds if the steady-state cycle
-//! loop and [`Machine::reset`] stay heap-allocation-free. This test wraps
-//! the system allocator in a counter and pins both down to **zero**
+//! loop, [`Machine::reset`] and the Flush+Reload channel that every attack
+//! cell sets up and reads out stay heap-allocation-free. This test wraps
+//! the system allocator in a counter and pins all of them down to **zero**
 //! allocations once the machine is warm (first-touch `HashMap` inserts in
-//! memory and predictor tables are warm-up cost, paid once per machine).
+//! memory, page and predictor tables are warm-up cost, paid once per
+//! machine).
 //!
 //! Kept to a single `#[test]` so concurrent tests in the same binary
 //! cannot perturb the counter.
@@ -46,6 +48,26 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Slot `i` of a 256-slot Flush+Reload probe array, one page per slot.
+fn probe(i: u64) -> u64 {
+    0x10_0000 + i * 4096
+}
+
+/// Channel set-up: map every probe page and flush its slot.
+fn prepare_channel(m: &mut Machine) {
+    for i in 0..256 {
+        m.map_user_page(probe(i)).unwrap();
+        m.flush_line(probe(i)).unwrap();
+    }
+}
+
+/// Channel receive: reload every slot with a timed read.
+fn receive(m: &mut Machine) {
+    for i in 0..256 {
+        m.timed_read(probe(i)).unwrap();
+    }
+}
+
 #[test]
 fn warm_machine_run_and_reset_are_allocation_free() {
     let cfg = UarchConfig::default();
@@ -72,7 +94,10 @@ fn warm_machine_run_and_reset_are_allocation_free() {
         .unwrap();
 
     // Warm-up: grows the ROB ring, inserts the first-touch memory words
-    // and predictor entries, sizes the tx-fallback scratch.
+    // and predictor entries, sizes the tx-fallback scratch, and sizes the
+    // page table and cache sets for one Flush+Reload round.
+    prepare_channel(&mut m);
+    receive(&mut m);
     for _ in 0..3 {
         m.run(&program).unwrap();
     }
@@ -91,6 +116,20 @@ fn warm_machine_run_and_reset_are_allocation_free() {
     // Reset is clear-and-reuse, never rebuild: also allocation-free.
     let during_reset = allocations_during(|| m.reset(&cfg));
     assert_eq!(during_reset, 0, "reset allocated {during_reset} times");
+
+    // The covert channel on the reset machine: re-mapping the probe pages
+    // reuses the page table's capacity, and a reload miss reads its line
+    // from memory without touching the heap.
+    let during_prepare = allocations_during(|| prepare_channel(&mut m));
+    assert_eq!(
+        during_prepare, 0,
+        "channel set-up allocated {during_prepare} times"
+    );
+    let during_receive = allocations_during(|| receive(&mut m));
+    assert_eq!(
+        during_receive, 0,
+        "channel receive allocated {during_receive} times"
+    );
 
     // And the machine still works after the counted reset.
     m.map_user_page(0x7000).unwrap();

@@ -345,6 +345,29 @@ mod sharding_and_incremental {
     }
 
     #[test]
+    fn a_stack_named_with_plus_survives_the_json_round_trip() {
+        // `SpecShieldERP+` ends in the stack separator; its rows must
+        // still resolve when a saved matrix is loaded back.
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks(attacks::registry().iter().copied().take(2))
+            .defenses(
+                [defenses::names::SPECSHIELD_ERP, defenses::names::NDA]
+                    .map(|n| *defenses::resolve(n).expect("registered")),
+            )
+            .build();
+        let matrix = CampaignMatrix::run(&spec).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "specgraph-campaign-erp-{}.json",
+            std::process::id()
+        ));
+        matrix.save_json(&path).expect("matrix saves");
+        let loaded = CampaignMatrix::load_json(&path);
+        std::fs::remove_file(&path).ok();
+        let loaded = loaded.expect("a SpecShieldERP+ matrix loads");
+        assert_eq!(loaded.to_json(), matrix.to_json());
+    }
+
+    #[test]
     fn acceptance_incremental_via_json_file_round_trip() {
         let spec = grid_spec();
         let first = CampaignMatrix::run(&spec).unwrap();

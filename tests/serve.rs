@@ -305,6 +305,40 @@ fn killed_run_resumes_from_checkpoints_without_resimulating() {
 }
 
 #[test]
+fn resume_reuses_intact_chunks_of_a_stack_named_with_plus() {
+    // `SpecShieldERP+` ends in the stack separator; checkpoints holding
+    // its rows must load back rather than re-run.
+    let spec = CampaignSpec::builder(UarchConfig::default())
+        .attacks(attacks::registry().iter().copied().take(3))
+        .defenses(
+            [defenses::names::SPECSHIELD_ERP, defenses::names::LFENCE]
+                .map(|n| *defenses::resolve(n).expect("registered")),
+        )
+        .axis(campaign::Knob::RobDepth, [16usize, 64])
+        .build();
+    let dir = tempdir("erp-resume");
+    let (first, report) = Scheduler::new(&spec)
+        .chunk_tasks(3)
+        .checkpoint(&dir)
+        .run()
+        .unwrap();
+    let chunks = report.chunks;
+    assert!(chunks >= 4, "grid must split into several chunks");
+    fs::remove_file(dir.join("chunk-00001.json")).unwrap();
+
+    let (second, report) = Scheduler::new(&spec)
+        .chunk_tasks(3)
+        .checkpoint(&dir)
+        .run()
+        .unwrap();
+    assert_eq!(report.resumed, chunks - 1);
+    assert_eq!(report.executed, 1);
+    assert!(report.repaired.is_empty(), "{:?}", report.repaired);
+    assert_eq!(second.to_json(), first.to_json());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_adopts_chunk_geometry_from_the_checkpoint_directory() {
     // A changed chunk-size flag must not re-tile a half-finished run:
     // the on-disk chunk count wins.
