@@ -187,27 +187,29 @@ impl DefenseStack {
 
     /// Parses a `+`-joined stack expression. Each member resolves by its
     /// short catalog token (`kpti`, case-insensitive) or its full name
-    /// (`KAISER/KPTI`) — see [`crate::resolve`]. The whole expression is
-    /// tried as one catalog name first, so a defense whose own name
-    /// contains `+` (`SpecShieldERP+`) parses back as a singleton.
+    /// (`KAISER/KPTI`) — see [`crate::resolve`]. A full name may itself
+    /// contain `+` (`SpecShieldERP+`), so each member is the longest run of
+    /// `+`-separated parts that resolves: `KAISER/KPTI+SpecShieldERP+`
+    /// parses back as its two members.
     ///
     /// # Errors
     ///
     /// [`StackError::UnknownDefense`] for an unresolvable member, plus
     /// everything [`DefenseStack::new`] rejects.
     pub fn parse(expr: &str) -> Result<Self, StackError> {
-        if let Some(&defense) = crate::resolve(expr.trim()) {
-            return Ok(Self::single(defense));
+        let parts: Vec<&str> = expr.split('+').collect();
+        let mut members = Vec::new();
+        let mut start = 0;
+        while start < parts.len() {
+            let (defense, end) = (start + 1..=parts.len())
+                .rev()
+                .find_map(|end| {
+                    crate::resolve(parts[start..end].join("+").trim()).map(|&d| (d, end))
+                })
+                .ok_or_else(|| StackError::UnknownDefense(parts[start].trim().to_owned()))?;
+            members.push(defense);
+            start = end;
         }
-        let members = expr
-            .split('+')
-            .map(str::trim)
-            .map(|part| {
-                crate::resolve(part)
-                    .copied()
-                    .ok_or_else(|| StackError::UnknownDefense(part.to_owned()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Self::new(members)
     }
 
@@ -482,6 +484,31 @@ mod tests {
             let single = DefenseStack::single(*d);
             assert_eq!(DefenseStack::parse(single.name()).unwrap(), single);
         }
+    }
+
+    #[test]
+    fn every_two_member_stack_name_parses_back() {
+        // Members whose own name contains `+` included: the canonical
+        // `KAISER/KPTI+SpecShieldERP+` must split into its two members.
+        let mut checked = 0;
+        for a in crate::registry() {
+            for b in crate::registry() {
+                let Ok(stack) = DefenseStack::new(vec![*a, *b]) else {
+                    continue;
+                };
+                assert_eq!(
+                    DefenseStack::parse(stack.name()).as_ref(),
+                    Ok(&stack),
+                    "{}",
+                    stack.name()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} two-member stacks built");
+        let kpti_erp = DefenseStack::parse("kpti+specshield-erp").unwrap();
+        assert_eq!(kpti_erp.name(), "KAISER/KPTI+SpecShieldERP+");
+        assert_eq!(DefenseStack::parse(kpti_erp.name()).unwrap(), kpti_erp);
     }
 
     #[test]

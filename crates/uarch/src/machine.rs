@@ -170,6 +170,9 @@ pub struct Machine {
     scratch_completing: Vec<usize>,
     /// Reused scratch for the tx-fallback scan at the start of each run.
     scratch_tx_stack: Vec<usize>,
+    /// Some stage changed machine state (or recorded an event) this cycle.
+    /// A cycle that leaves it clear is quiescent: see [`Machine::run`].
+    progressed: bool,
 }
 
 impl Machine {
@@ -207,6 +210,7 @@ impl Machine {
             tx_fallback: SmallMap::new(),
             scratch_completing: Vec::new(),
             scratch_tx_stack: Vec::new(),
+            progressed: false,
             memory: Memory::new(),
             page_table: PageTable::new(),
             kernel_table: PageTable::new(),
@@ -594,6 +598,7 @@ impl Machine {
     }
 
     fn record(&mut self, e: TraceEvent) {
+        self.progressed = true;
         if self.events.len() < self.cfg.max_events {
             self.events.push(e);
         } else {
@@ -622,11 +627,34 @@ impl Machine {
     /// Micro-architectural state persists across calls; architectural
     /// registers are the current context's.
     ///
+    /// Time advances over quiescent stretches: after a cycle in which no
+    /// stage changed state, the clock jumps to the next cycle at which an
+    /// executing entry completes or the head may retire. The result is
+    /// cycle-exact — the same events, cycle stamps and final state as
+    /// stepping every cycle.
+    ///
     /// # Errors
     ///
-    /// [`UarchError::CycleLimitExceeded`] if the configured `max_cycles` is
-    /// exhausted (e.g. a program that never halts).
+    /// [`UarchError::CycleLimitExceeded`] once the run has spent the
+    /// configured `max_cycles` (e.g. a program that never halts); the
+    /// machine's clock then stands at the run's start plus `max_cycles`.
     pub fn run(&mut self, program: &Program) -> Result<RunResult, UarchError> {
+        self.run_until_stop(program, true)
+    }
+
+    /// [`Machine::run`] stepping every cycle, without the time advance:
+    /// the cycle-exact reference that tests compare `run` against. Not
+    /// part of the stable API.
+    #[doc(hidden)]
+    pub fn run_cycle_by_cycle(&mut self, program: &Program) -> Result<RunResult, UarchError> {
+        self.run_until_stop(program, false)
+    }
+
+    fn run_until_stop(
+        &mut self,
+        program: &Program,
+        advance: bool,
+    ) -> Result<RunResult, UarchError> {
         self.rob.clear();
         self.rename = [None; Reg::COUNT];
         self.fetch_pc = Some(0);
@@ -639,6 +667,7 @@ impl Machine {
 
         let mut res = RunResult::default();
         let start_cycle = self.cycle;
+        let limit = start_cycle.saturating_add(self.cfg.max_cycles);
         loop {
             if self.cycle - start_cycle >= self.cfg.max_cycles {
                 return Err(UarchError::CycleLimitExceeded {
@@ -646,6 +675,7 @@ impl Machine {
                 });
             }
             self.cycle += 1;
+            self.progressed = false;
 
             let stop = self.retire(&mut res);
             if stop {
@@ -661,9 +691,35 @@ impl Machine {
                 res.halted = true;
                 break;
             }
+            if advance && !self.progressed {
+                // Nothing changed, so every cycle before the next event is
+                // quiescent too; land one before it (or on the cap).
+                let next = self.next_event_cycle();
+                debug_assert!(next > self.cycle, "a state change went unmarked");
+                self.cycle = (next - 1).min(limit);
+            }
         }
         res.cycles = self.cycle - start_cycle;
         Ok(res)
+    }
+
+    /// The earliest cycle at which one of the only two time-dependent
+    /// predicates of a run can turn: an executing entry's `done_at <= now`
+    /// (see [`Machine::complete`]) or a done head's `now >=
+    /// retire_not_before` (see [`Machine::retire`]). `u64::MAX` when
+    /// neither can.
+    fn next_event_cycle(&self) -> u64 {
+        let head = match self.rob.front() {
+            Some(h) if h.done() => h.retire_not_before,
+            _ => u64::MAX,
+        };
+        self.rob
+            .iter()
+            .filter_map(|e| match e.state {
+                EntryState::Executing { done_at } => Some(done_at),
+                _ => None,
+            })
+            .fold(head, u64::min)
     }
 
     /// Index of the ROB entry with the given sequence number. Sequence
@@ -728,6 +784,7 @@ impl Machine {
                 return false;
             }
             let entry = self.rob.pop_front().expect("head exists");
+            self.progressed = true;
 
             // Faults surface architecturally at retirement.
             if let Some(fault) = entry.fault {
@@ -783,7 +840,6 @@ impl Machine {
 
     /// Handles a fault reaching retirement. Returns `true` if the run stops.
     fn raise_fault(&mut self, entry: &Entry, fault: Fault, res: &mut RunResult) -> bool {
-        let discarded = self.rob.len();
         if entry.in_tx {
             // TSX: abort the transaction, suppress the exception, resume at
             // the fallback pc.
@@ -810,7 +866,6 @@ impl Machine {
             fault,
         });
         self.squash_all(SquashCause::Fault, res);
-        let _ = discarded;
 
         if fault == Fault::FpUnavailable {
             // The #NM handler switches the FPU eagerly and re-executes the
@@ -953,6 +1008,7 @@ impl Machine {
                 continue;
             }
             self.rob[idx].state = EntryState::Done;
+            self.progressed = true;
             let inst = self.rob[idx].inst;
             match inst {
                 Instruction::BranchIf { cond, target, .. } => {
@@ -1072,7 +1128,6 @@ impl Machine {
             Some(p) => p & !7,
             None => return,
         };
-        let store_seq = self.rob[idx].seq;
         let aliased: Option<(u64, usize)> = self
             .rob
             .iter()
@@ -1089,7 +1144,6 @@ impl Machine {
             // Squash the load and everything younger; refetch from the load.
             self.squash_after(load_seq - 1, SquashCause::DisambiguationMispredict, res);
             self.redirect_fetch(load_pc);
-            let _ = store_seq;
         }
     }
 
@@ -1102,6 +1156,7 @@ impl Machine {
             }
             if self.rob[i].inst.destination().is_none() {
                 self.rob[i].broadcast = true;
+                self.progressed = true;
                 continue;
             }
             // NDA (strategy ②): results of speculatively-executed loads are
@@ -1134,6 +1189,7 @@ impl Machine {
                 }
             }
             self.rob[i].broadcast = true;
+            self.progressed = true;
         }
     }
 
@@ -1291,6 +1347,7 @@ impl Machine {
                 self.rob[idx].tainted = any_tainted;
                 let lat = self.cfg.alu_latency + self.cfg.translation_latency;
                 self.rob[idx].state = EntryState::Executing { done_at: now + lat };
+                self.progressed = true;
                 // The store's address is now known: check immediately for
                 // younger loads that bypassed it and alias (the Spectre v4
                 // authorization resolving negatively). Real pipelines run
@@ -1312,6 +1369,7 @@ impl Machine {
 
     fn start(&mut self, idx: usize, latency: u64, result: u64, tainted: bool) {
         let now = self.cycle;
+        self.progressed = true;
         let e = &mut self.rob[idx];
         e.result = result;
         e.tainted = tainted;
@@ -1437,7 +1495,6 @@ impl Machine {
         }
 
         let paddr = tr.paddr.expect("no fault implies a physical address");
-        self.rob[idx].paddr = Some(paddr);
 
         // ---- Store-buffer search among older in-flight stores ----
         let mut forward_from: Option<u64> = None;
@@ -1455,6 +1512,7 @@ impl Machine {
         if let Some(v) = forward_from {
             // Most-recent matching store wins (we scanned oldest→youngest,
             // overwriting). Store-to-load forwarding.
+            self.rob[idx].paddr = Some(paddr);
             self.record(TraceEvent::StoreToLoadForward {
                 cycle: self.cycle,
                 pc,
@@ -1486,6 +1544,9 @@ impl Machine {
                 pc,
             });
         }
+        // Set only once the load proceeds (or bypasses, where a resolving
+        // store finds it by address): a load left waiting changes nothing.
+        self.rob[idx].paddr = Some(paddr);
 
         // ---- Cache / memory access ----
         let hit = self.cache.contains(paddr);
@@ -1658,6 +1719,7 @@ impl Machine {
             let Some(&inst) = program.get(pc) else {
                 // Ran off the program end.
                 self.fetch_pc = None;
+                self.progressed = true;
                 return;
             };
             let seq = self.next_seq;
@@ -1777,6 +1839,7 @@ impl Machine {
                 }
             }
             self.rob.push_back(entry);
+            self.progressed = true;
         }
     }
 }

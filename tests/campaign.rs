@@ -368,6 +368,27 @@ mod sharding_and_incremental {
     }
 
     #[test]
+    fn a_stack_with_a_plus_named_member_survives_the_json_round_trip() {
+        // The stack's canonical name `KAISER/KPTI+SpecShieldERP+` ends in
+        // the separator; its rows must resolve when the matrix is loaded.
+        let stack = DefenseStack::parse("kpti+specshield-erp").expect("members compose");
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks(attacks::registry().iter().copied().take(2))
+            .defense_stacks([stack])
+            .build();
+        let matrix = CampaignMatrix::run(&spec).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "specgraph-campaign-kpti-erp-{}.json",
+            std::process::id()
+        ));
+        matrix.save_json(&path).expect("matrix saves");
+        let loaded = CampaignMatrix::load_json(&path);
+        std::fs::remove_file(&path).ok();
+        let loaded = loaded.expect("a KAISER/KPTI+SpecShieldERP+ matrix loads");
+        assert_eq!(loaded.to_json(), matrix.to_json());
+    }
+
+    #[test]
     fn acceptance_incremental_via_json_file_round_trip() {
         let spec = grid_spec();
         let first = CampaignMatrix::run(&spec).unwrap();
