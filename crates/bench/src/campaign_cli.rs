@@ -1825,8 +1825,9 @@ fn write_stdout(content: &str) -> Result<(), CliError> {
 
 fn describe_report(report: IncrementalReport) {
     eprintln!(
-        "campaign: evaluated {} task(s), reused {} from the previous matrix",
-        report.evaluated, report.reused
+        "campaign: evaluated {} task(s), reused {} from the previous matrix, \
+         {} simulation(s)",
+        report.evaluated, report.reused, report.simulations
     );
 }
 

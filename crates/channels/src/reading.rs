@@ -20,13 +20,14 @@ impl Reading {
     /// symbol.
     #[must_use]
     pub fn classify(latencies: Vec<u64>, threshold: u64) -> Self {
-        let hits: Vec<usize> = latencies
+        // One pass: the first hit, and whether a second one follows.
+        let mut hits = latencies
             .iter()
             .enumerate()
             .filter(|&(_, &l)| l < threshold)
-            .map(|(i, _)| i)
-            .collect();
-        let recovered = if hits.len() == 1 { Some(hits[0]) } else { None };
+            .map(|(i, _)| i);
+        let first = hits.next();
+        let recovered = if hits.next().is_none() { first } else { None };
         Reading {
             latencies,
             threshold,

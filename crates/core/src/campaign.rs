@@ -42,9 +42,13 @@
 //! # }
 //! ```
 //!
-//! Work is distributed over `std::thread::scope` workers round-robin, and
-//! results are reassembled by cell index, so the output is byte-identical
-//! regardless of thread count or scheduling. That index-addressed,
+//! Tasks that run the same attack on the same effective machine — stacks
+//! whose members write the same knobs, a stack whose knob a hardening
+//! slice already set — share one simulation: each distinct `(attack,
+//! UarchConfig)` is simulated once, on `std::thread::scope` workers
+//! round-robin, and every row is assembled from its simulation by cell
+//! index, so the output is byte-identical regardless of thread count or
+//! scheduling. That index-addressed,
 //! deterministic cell order is also what makes the cube **shardable**
 //! ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]: merging is
 //! validated concatenation) and **incrementally re-evaluable**
@@ -100,8 +104,8 @@
 
 use crate::jsonio::{self, Json, JsonError};
 use crate::scenario::Evaluation;
-use attacks::{Attack, AttackError, AttackInfo, BatchRunner};
-use defenses::{Defense, DefenseStack, Strategy, Verdict};
+use attacks::{Attack, AttackError, AttackInfo, AttackOutcome, BatchRunner};
+use defenses::{fnv1a, Defense, DefenseStack, Strategy, Verdict, FNV_OFFSET};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -790,17 +794,6 @@ impl CampaignSpecBuilder {
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// A stable 64-bit digest of a machine configuration's *contents* (every
 /// field, in declaration order).
 ///
@@ -990,107 +983,122 @@ fn graph_verdicts_for(
     })
 }
 
-fn run_task(
-    spec: &CampaignSpec,
-    graph: &GraphVerdicts,
-    digests: &[u64],
-    task: usize,
-    runner: &mut BatchRunner,
-) -> Result<TaskOut, AttackError> {
-    let c = spec.configs.len();
-    let d = spec.defenses.len();
-    let base_tasks = spec.attacks.len() * c;
-    if task < base_tasks {
-        let attack = spec.attacks[task / c];
-        let config = task % c;
-        let out = runner.run(attack, &spec.configs[config].config)?;
-        let info = attack.info();
-        Ok(TaskOut::Base(BaselineCell {
-            config,
-            leaked: out.leaked,
-            recovered: out.recovered,
-            cycles: out.cycles,
-            graph_race: graph.races[task / c],
-            fingerprint: baseline_fingerprint(info.name, digests[config]),
-            info,
-            outcome: CellOutcome::Ok,
-        }))
-    } else {
-        let j = task - base_tasks;
-        let attack = spec.attacks[j / (d * c)];
-        let defense = &spec.defenses[(j / c) % d];
-        let config = j % c;
-        // The graph verdict was hoisted out of the config loop (it is
-        // config-invariant); only the machine runs per slice.
-        let strategy_sufficient =
-            graph.pairs[task_pair(spec, task)].expect("pair verdict precomputed");
-        let mechanism =
-            defenses::verify_stack_warm(defense, attack, &spec.configs[config].config, runner)?;
-        let evaluation = Evaluation {
-            attack: attack.info().name,
-            stack: defense.clone(),
-            strategy_sufficient,
-            mechanism,
+/// How one distinct simulation concluded. Every task that reads the
+/// simulation builds its row from this one value.
+enum Sim {
+    /// The machine ran to completion.
+    Ran(AttackOutcome),
+    /// The simulation timed out or was quarantined; every task sharing it
+    /// reports this outcome.
+    Degraded(CellOutcome),
+}
+
+/// The distinct simulations a task list needs.
+///
+/// Many tasks run the same machine: catalog stacks whose members write the
+/// same knobs, and stacks whose writes a hardening slice already made (NDA
+/// on the `nda` slice). A simulation is keyed by `(attack index, effective
+/// UarchConfig)` — the config value itself, so two keys are equal exactly
+/// when the machines are.
+struct SimPlan {
+    /// Per position in the task list: the simulation its row reads, or
+    /// `None` for a graph-only cell (no stack member has a hardware model).
+    sim_of: Vec<Option<usize>>,
+    /// The distinct `(attack index, machine)` pairs, numbered in order of
+    /// first use.
+    sims: Vec<(usize, UarchConfig)>,
+    /// Per simulation: the task-list positions that read it.
+    sharers: Vec<Vec<usize>>,
+}
+
+impl SimPlan {
+    fn new(spec: &CampaignSpec, ids: &[usize]) -> Self {
+        let (d, c) = (spec.defenses.len(), spec.configs.len());
+        let base_tasks = spec.attacks.len() * c;
+        let mut index: HashMap<(usize, UarchConfig), usize> = HashMap::new();
+        let mut plan = SimPlan {
+            sim_of: Vec::with_capacity(ids.len()),
+            sims: Vec::new(),
+            sharers: Vec::new(),
         };
-        let fingerprint = cell_fingerprint(
-            evaluation.attack,
-            defense.name(),
-            &defense.strategy_token(),
-            digests[config],
-        );
-        Ok(TaskOut::Cell(MatrixCell {
-            attack: evaluation.attack,
-            defense: defense.name().to_owned(),
-            config,
-            evaluation,
-            fingerprint,
-            outcome: CellOutcome::Ok,
-        }))
+        for (k, &task) in ids.iter().enumerate() {
+            let key = if task < base_tasks {
+                Some((task / c, spec.configs[task % c].config.clone()))
+            } else {
+                let j = task - base_tasks;
+                spec.defenses[(j / c) % d]
+                    .apply(&spec.configs[j % c].config)
+                    .map(|cfg| (j / (d * c), cfg))
+            };
+            let sim = key.map(|key| {
+                let s = match index.get(&key) {
+                    Some(&s) => s,
+                    None => {
+                        let s = plan.sims.len();
+                        index.insert(key.clone(), s);
+                        plan.sims.push(key);
+                        plan.sharers.push(Vec::new());
+                        s
+                    }
+                };
+                plan.sharers[s].push(k);
+                s
+            });
+            plan.sim_of.push(sim);
+        }
+        plan
     }
 }
 
-/// Builds the degraded row for a task whose simulation could not complete:
-/// machine fields are zeroed, the mechanism is [`Verdict::GraphOnly`], and
-/// the hoisted graph verdicts (`graph_race`, `strategy_sufficient`) are
-/// kept — they never needed the machine. Fingerprints are computed as
-/// usual so an incremental re-run recognises (and, because degraded rows
-/// are never reused, re-evaluates) the cell.
-fn degraded_task(
+/// Builds task `task`'s row from the simulation it read (`None` for a
+/// graph-only cell). A degraded simulation zeroes the machine fields and
+/// reports the mechanism as [`Verdict::GraphOnly`]; the hoisted graph
+/// verdicts (`graph_race`, `strategy_sufficient`) are kept either way —
+/// they never needed the machine. Fingerprints are computed as usual, so
+/// an incremental re-run recognises (and, because degraded rows are never
+/// reused, re-evaluates) a degraded cell.
+fn task_row(
     spec: &CampaignSpec,
     graph: &GraphVerdicts,
     digests: &[u64],
     task: usize,
-    outcome: CellOutcome,
+    sim: Option<&Sim>,
 ) -> TaskOut {
-    let c = spec.configs.len();
-    let d = spec.defenses.len();
+    let (d, c) = (spec.defenses.len(), spec.configs.len());
     let base_tasks = spec.attacks.len() * c;
+    let (ran, outcome) = match sim {
+        Some(Sim::Ran(out)) => (Some(out), CellOutcome::Ok),
+        Some(Sim::Degraded(outcome)) => (None, outcome.clone()),
+        None => (None, CellOutcome::Ok),
+    };
     if task < base_tasks {
-        let attack = spec.attacks[task / c];
+        let info = spec.attacks[task / c].info();
         let config = task % c;
-        let info = attack.info();
         TaskOut::Base(BaselineCell {
             fingerprint: baseline_fingerprint(info.name, digests[config]),
             info,
             config,
-            leaked: false,
-            recovered: None,
-            cycles: 0,
+            leaked: ran.is_some_and(|out| out.leaked),
+            recovered: ran.and_then(|out| out.recovered),
+            cycles: ran.map_or(0, |out| out.cycles),
             graph_race: graph.races[task / c],
             outcome,
         })
     } else {
         let j = task - base_tasks;
-        let attack = spec.attacks[j / (d * c)];
         let defense = &spec.defenses[(j / c) % d];
         let config = j % c;
-        let strategy_sufficient =
-            graph.pairs[task_pair(spec, task)].expect("pair verdict precomputed");
         let evaluation = Evaluation {
-            attack: attack.info().name,
+            attack: spec.attacks[j / (d * c)].info().name,
             stack: defense.clone(),
-            strategy_sufficient,
-            mechanism: Verdict::GraphOnly,
+            // Config-invariant, so hoisted out of the config loop.
+            strategy_sufficient: graph.pairs[task_pair(spec, task)]
+                .expect("pair verdict precomputed"),
+            mechanism: match ran {
+                Some(out) if out.leaked => Verdict::Leaked,
+                Some(_) => Verdict::Blocked,
+                None => Verdict::GraphOnly,
+            },
         };
         let fingerprint = cell_fingerprint(
             evaluation.attack,
@@ -1123,52 +1131,35 @@ fn panic_reason(payload: &dyn std::any::Any) -> String {
     reason
 }
 
-/// [`run_task`] hardened by the spec's [`Resilience`] policy: panics are
+/// One simulation hardened by the spec's [`Resilience`] policy: panics are
 /// caught and retried with backoff on a fresh machine (the old one may be
 /// poisoned mid-simulation), then quarantined; cycle-budget exhaustion
 /// degrades to [`CellOutcome::TimedOut`] when the watchdog is enabled.
 /// Non-timeout simulator errors keep their existing fail-the-run
 /// semantics — they indicate a broken spec, not a flaky worker.
-fn run_task_resilient(
-    spec: &CampaignSpec,
-    graph: &GraphVerdicts,
-    digests: &[u64],
-    task: usize,
+fn simulate_resilient(
+    policy: &Resilience,
+    attack: &dyn Attack,
+    cfg: &UarchConfig,
     runner: &mut BatchRunner,
-) -> Result<TaskOut, AttackError> {
+) -> Result<Sim, AttackError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let policy = &spec.resilience;
     let mut attempt = 0u32;
     loop {
-        match catch_unwind(AssertUnwindSafe(|| {
-            run_task(spec, graph, digests, task, runner)
-        })) {
-            Ok(Ok(out)) => return Ok(out),
-            Ok(Err(AttackError::Uarch(e))) if e.is_cycle_limit() && policy.degrade_timeouts => {
-                let uarch::UarchError::CycleLimitExceeded { limit } = e else {
-                    unreachable!("is_cycle_limit");
-                };
-                return Ok(degraded_task(
-                    spec,
-                    graph,
-                    digests,
-                    task,
-                    CellOutcome::TimedOut { limit },
-                ));
+        match catch_unwind(AssertUnwindSafe(|| runner.run(attack, cfg))) {
+            Ok(Ok(out)) => return Ok(Sim::Ran(out)),
+            Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
+                if policy.degrade_timeouts =>
+            {
+                return Ok(Sim::Degraded(CellOutcome::TimedOut { limit }));
             }
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 *runner = BatchRunner::new();
                 if attempt >= policy.retries {
-                    return Ok(degraded_task(
-                        spec,
-                        graph,
-                        digests,
-                        task,
-                        CellOutcome::Quarantined {
-                            reason: panic_reason(payload.as_ref()),
-                        },
-                    ));
+                    return Ok(Sim::Degraded(CellOutcome::Quarantined {
+                        reason: panic_reason(payload.as_ref()),
+                    }));
                 }
                 attempt += 1;
                 if !policy.backoff.is_zero() {
@@ -1179,19 +1170,22 @@ fn run_task_resilient(
     }
 }
 
-fn effective_threads(requested: usize, tasks: usize) -> usize {
+fn effective_threads(requested: usize, jobs: usize) -> usize {
     match requested {
         0 => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         t => t,
     }
-    .min(tasks.max(1))
+    .min(jobs.max(1))
 }
 
 /// One completed evaluation task, as reported to a [`ProgressObserver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskEvent {
     /// Tasks completed so far in this run, including this one. Completion
-    /// order is scheduling-dependent; the counter is monotonic.
+    /// order is scheduling-dependent; the counter is monotonic. A task
+    /// completes when the simulation it shares finishes, so the tasks of
+    /// one simulation report back to back; graph-only cells need no
+    /// simulation and report before any runs.
     pub completed: usize,
     /// Tasks this run evaluates in total (stale tasks only, for an
     /// incremental run).
@@ -1201,9 +1195,10 @@ pub struct TaskEvent {
     pub config: usize,
 }
 
-/// Live progress callback for campaign runs: invoked once per evaluated
-/// task, possibly concurrently from worker threads (hence `Sync`). Reused
-/// (fingerprint-matched) tasks are never reported — they cost nothing.
+/// Live progress callback for campaign runs: invoked exactly once per
+/// evaluated task, possibly concurrently from worker threads (hence
+/// `Sync`). Reused (fingerprint-matched) tasks are never reported — they
+/// cost nothing.
 pub type ProgressObserver<'a> = &'a (dyn Fn(TaskEvent) + Sync);
 
 /// The config-slice index of a task id (baseline or cell region).
@@ -1219,8 +1214,8 @@ fn task_config(spec: &CampaignSpec, task: usize) -> usize {
 
 /// The `(attack, stack)` pair index (`attack_index * defenses +
 /// defense_index`) of a *cell-region* task id — the key into
-/// [`GraphVerdicts::pairs`], shared by the precompute and the workers so
-/// the two decodes cannot drift.
+/// [`GraphVerdicts::pairs`], shared by the precompute and the row builder
+/// so the two decodes cannot drift.
 ///
 /// Callers guarantee `task` lies in the cell region (`task >= A×C`).
 fn task_pair(spec: &CampaignSpec, task: usize) -> usize {
@@ -1229,62 +1224,70 @@ fn task_pair(spec: &CampaignSpec, task: usize) -> usize {
     (j / (d * c)) * d + (j / c) % d
 }
 
-/// Runs the given task ids (need not be contiguous, must be sorted for the
-/// error-order guarantee) on scoped workers, round-robin by list position;
-/// results come back in list order. The first error by task order wins.
-/// `progress`, if given, observes every completed task as it finishes.
+/// Evaluates the given task ids (need not be contiguous, must be sorted
+/// for the error-order guarantee) by running each *distinct simulation*
+/// once, and returns the rows in list order plus the number of
+/// simulations run.
+///
+/// 1. **Plan**: [`SimPlan`] maps every task to its `(attack, machine)`
+///    key — the slice's config for a baseline, `stack.apply(config)` for a
+///    cell, none for a graph-only cell.
+/// 2. **Run**: each distinct key is simulated once under the
+///    [`Resilience`] policy, on scoped workers round-robin by simulation
+///    number; each worker owns one warm [`BatchRunner`].
+/// 3. **Assemble**: every task's row is built from its simulation's
+///    outcome, so all sharers report the same `Ok`, `TimedOut` or
+///    `Quarantined` result.
+///
+/// Sharing is exact because [`BatchRunner::run`] is a pure function of
+/// the attack and the config. The first hard error by task order wins.
+/// `progress`, if given, observes every task exactly once.
 fn execute(
     spec: &CampaignSpec,
     graph: &GraphVerdicts,
     digests: &[u64],
     ids: &[usize],
     progress: Option<ProgressObserver<'_>>,
-) -> Result<Vec<TaskOut>, AttackError> {
+) -> Result<(Vec<TaskOut>, usize), AttackError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let threads = effective_threads(spec.threads, ids.len());
+    let plan = SimPlan::new(spec, ids);
     let done = AtomicUsize::new(0);
-    let observe = |task: usize| {
+    let observe = |k: usize| {
         if let Some(f) = progress {
             f(TaskEvent {
                 completed: done.fetch_add(1, Ordering::Relaxed) + 1,
                 total: ids.len(),
-                config: task_config(spec, task),
+                config: task_config(spec, ids[k]),
             });
         }
     };
-    let mut slots: Vec<Option<Result<TaskOut, AttackError>>> = Vec::new();
-    slots.resize_with(ids.len(), || None);
-    if threads <= 1 {
-        let mut runner = BatchRunner::new();
-        for (k, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_task_resilient(
-                spec,
-                graph,
-                digests,
-                ids[k],
-                &mut runner,
-            ));
-            observe(ids[k]);
+    for (k, sim) in plan.sim_of.iter().enumerate() {
+        if sim.is_none() {
+            observe(k);
         }
-    } else {
-        let observe = &observe;
-        // Each worker owns one warm machine for its whole task stripe:
-        // every task resets it instead of rebuilding.
-        let worker = move |start: usize| {
-            let mut runner = BatchRunner::new();
-            let mut out = Vec::new();
-            let mut k = start;
-            while k < ids.len() {
-                out.push((
-                    k,
-                    run_task_resilient(spec, graph, digests, ids[k], &mut runner),
-                ));
-                observe(ids[k]);
-                k += threads;
+    }
+
+    let threads = effective_threads(spec.threads, plan.sims.len());
+    // Each worker owns one warm machine for its whole simulation stripe:
+    // every simulation resets it instead of rebuilding.
+    let worker = |start: usize| {
+        let mut runner = BatchRunner::new();
+        let mut out = Vec::new();
+        for s in (start..plan.sims.len()).step_by(threads) {
+            let (attack, cfg) = &plan.sims[s];
+            let sim = simulate_resilient(&spec.resilience, spec.attacks[*attack], cfg, &mut runner);
+            out.push((s, sim));
+            for &k in &plan.sharers[s] {
+                observe(k);
             }
-            out
-        };
-        let batches = thread::scope(|scope| {
+        }
+        out
+    };
+    let batches = if threads <= 1 {
+        vec![worker(0)]
+    } else {
+        let worker = &worker;
+        thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|start| scope.spawn(move || worker(start)))
                 .collect();
@@ -1292,17 +1295,26 @@ fn execute(
                 .into_iter()
                 .map(|h| h.join().expect("campaign worker panicked"))
                 .collect::<Vec<_>>()
-        });
-        for batch in batches {
-            for (k, result) in batch {
-                slots[k] = Some(result);
-            }
-        }
+        })
+    };
+    let mut slots: Vec<Option<Result<Sim, AttackError>>> = Vec::new();
+    slots.resize_with(plan.sims.len(), || None);
+    for (s, sim) in batches.into_iter().flatten() {
+        slots[s] = Some(sim);
     }
-    slots
+    // Simulations are numbered by first use, so the lowest-numbered
+    // failure is the one the earliest task reads.
+    let sims = slots
         .into_iter()
-        .map(|slot| slot.expect("every task ran"))
-        .collect()
+        .map(|slot| slot.expect("every simulation ran"))
+        .collect::<Result<Vec<Sim>, AttackError>>()?;
+
+    let rows = ids
+        .iter()
+        .zip(&plan.sim_of)
+        .map(|(&task, sim)| task_row(spec, graph, digests, task, sim.map(|s| &sims[s])))
+        .collect();
+    Ok((rows, sims.len()))
 }
 
 fn split_outputs(outs: Vec<TaskOut>) -> (Vec<BaselineCell>, Vec<MatrixCell>) {
@@ -1391,8 +1403,8 @@ impl CampaignShard {
         // for it; pairs are computed once and shared across the shard's
         // config slices.
         let graph = graph_verdicts_for(&self.spec, &ids, false)?;
-        let (baselines, cells) =
-            split_outputs(execute(&self.spec, &graph, &digests, &ids, progress)?);
+        let (outs, _) = execute(&self.spec, &graph, &digests, &ids, progress)?;
+        let (baselines, cells) = split_outputs(outs);
         Ok(CampaignPart {
             spec_fingerprint: self.spec.fingerprint(),
             index: self.index,
@@ -1790,7 +1802,7 @@ pub struct CampaignMatrix {
 /// How much work an incremental run actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalReport {
-    /// Tasks (baselines + cells) that were re-simulated.
+    /// Tasks (baselines + cells) that were re-evaluated (not reused).
     pub evaluated: usize,
     /// Tasks reused from the previous matrix by fingerprint.
     pub reused: usize,
@@ -1800,6 +1812,13 @@ pub struct IncrementalReport {
     /// (one per (attack, stack) pair), and an all-reused incremental run
     /// computes zero.
     pub graph_verdicts: usize,
+    /// Distinct machine runs this run performed. Evaluated tasks that
+    /// run the same attack on the same effective [`UarchConfig`] share
+    /// one simulation, and graph-only cells need none, so this is at most
+    /// [`evaluated`](Self::evaluated): the full registry × Figure-8 cube
+    /// evaluates 3410 tasks with 1452 simulations, and an all-reused
+    /// incremental run performs zero.
+    pub simulations: usize,
 }
 
 impl CampaignMatrix {
@@ -1835,9 +1854,11 @@ impl CampaignMatrix {
 
     /// Evaluates the full cube described by `spec`.
     ///
-    /// Tasks (one per baseline run, one per matrix cell) are dealt to
-    /// scoped worker threads round-robin and reassembled by index, so the
-    /// result — including cell order — is independent of scheduling.
+    /// Tasks (one per baseline run, one per matrix cell) are grouped by
+    /// the machine they simulate; each distinct simulation is dealt to
+    /// scoped worker threads round-robin, and the rows are reassembled by
+    /// index, so the result — including cell order — is independent of
+    /// scheduling.
     ///
     /// # Errors
     ///
@@ -1966,7 +1987,7 @@ impl CampaignMatrix {
             }
         }
 
-        let fresh = execute(spec, &graph, &digests, &stale, progress)?;
+        let (fresh, simulations) = execute(spec, &graph, &digests, &stale, progress)?;
         for (&task, out) in stale.iter().zip(fresh) {
             slots[task] = Some(out);
         }
@@ -1980,6 +2001,7 @@ impl CampaignMatrix {
             evaluated: stale.len(),
             reused: total - stale.len(),
             graph_verdicts: graph.evaluated,
+            simulations,
         };
         Ok((
             Self::assemble(

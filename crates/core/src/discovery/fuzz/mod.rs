@@ -34,7 +34,7 @@
 pub mod corpus;
 pub mod gen;
 pub mod oracle;
-mod rng;
+pub(crate) mod rng;
 pub mod shrink;
 
 pub use corpus::{

@@ -36,6 +36,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use crate::discovery::fuzz::rng::mix;
 use attacks::{Attack, AttackError, AttackInfo, AttackOutcome};
 use tsg::SecurityAnalysis;
 use uarch::Machine;
@@ -125,7 +126,10 @@ impl FaultPlan {
     /// exercises a deterministic, replayable mix of all four kinds.
     #[must_use]
     pub fn seeded(seed: u64, k: usize) -> Self {
-        let kind = match splitmix(seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 4 {
+        // One splitmix64 step (golden-ratio increment, then the finalizer
+        // the fuzz RNG uses) spreads `(seed, k)` over the four kinds.
+        let z = seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let kind = match mix(z.wrapping_add(0x9e37_79b9_7f4a_7c15)) % 4 {
             0 => FaultKind::CrashAfterWrite,
             1 => FaultKind::TornWrite,
             2 => FaultKind::Enospc,
@@ -145,15 +149,6 @@ impl FaultPlan {
     pub fn at(&self) -> usize {
         self.at
     }
-}
-
-/// One round of splitmix64 — enough mixing to spread `(seed, k)` over the
-/// four fault kinds without any external RNG dependency.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +517,29 @@ impl Attack for PanickingAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeded_plans_keep_their_recorded_kinds() {
+        use FaultKind::{CrashAfterWrite as C, Enospc as E, FailedRename as R, TornWrite as T};
+        // `FaultPlan::seeded(s, k).kind()` for k in 0..16, recorded before
+        // the fault module's own splitmix copy was folded into the fuzz
+        // RNG's finalizer.
+        let table: [(u64, [FaultKind; 16]); 3] = [
+            (0, [R, C, R, C, R, E, T, C, R, E, T, E, R, R, T, R]),
+            (1, [T, T, E, E, T, R, T, C, C, C, T, R, C, E, C, C]),
+            (42, [T, R, R, C, E, T, R, T, E, T, T, T, C, R, C, C]),
+        ];
+        for (seed, kinds) in table {
+            for (k, want) in kinds.into_iter().enumerate() {
+                let plan = FaultPlan::seeded(seed, k);
+                assert_eq!(
+                    (plan.kind(), plan.at()),
+                    (want, k),
+                    "seed {seed}, write {k}"
+                );
+            }
+        }
+    }
 
     fn dir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("specgraph-fault-{}", std::process::id()));

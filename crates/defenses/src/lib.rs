@@ -44,6 +44,24 @@ pub use verify::{verify, verify_matrix, verify_stack, verify_stack_warm, Verdict
 
 use std::fmt;
 
+/// The FNV-1a offset basis: the `hash` to start a fresh [`fnv1a`] digest
+/// from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `hash` ([`FNV_OFFSET`] for
+/// a fresh digest). Chaining calls hashes the concatenation, so callers
+/// fold their fields in one at a time. This is the one copy behind every
+/// stable fingerprint in the workspace: overlays, stacks, and the
+/// campaign's spec, config and cell digests.
+#[must_use]
+pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// The four defense strategies of Figure 8 (and Figure 4's ①–④ arrows).
 ///
 /// Each strategy is an *edge-insertion point*: which protected node
@@ -132,5 +150,36 @@ mod tests {
         assert_eq!(Strategy::ClearPredictions.label(), "④");
         assert!(Strategy::PreventUse.to_string().contains("usage"));
         assert_eq!(Strategy::all().len(), 4);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_chains() {
+        assert_eq!(fnv1a(b"", FNV_OFFSET), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a", FNV_OFFSET), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", FNV_OFFSET), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(b"bar", fnv1a(b"foo", FNV_OFFSET)),
+            0x8594_4171_f739_67e8
+        );
+    }
+
+    #[test]
+    fn stack_and_overlay_fingerprints_are_pinned() {
+        // Digests recorded before the three FNV-1a copies were merged.
+        for (expr, stack, first_overlay) in [
+            (
+                "kpti+retpoline",
+                0x702d_117c_9efd_f7ad,
+                0xedcf_b019_13ef_c691,
+            ),
+            ("nda", 0xc1de_edcd_7fb6_2882, 0xec80_4747_c03d_5894),
+            ("lfence", 0xae74_ce27_30c9_06f3, 0x2ebe_81c8_4205_02c2),
+            ("stt+ibpb", 0x4a81_e6be_0052_af05, 0x091f_6a0c_9d35_6c8c),
+        ] {
+            let s = DefenseStack::parse(expr).unwrap();
+            assert_eq!(s.fingerprint(), stack, "{expr}");
+            let overlay = s.members()[0].overlay().expect("modeled first member");
+            assert_eq!(overlay.fingerprint(), first_overlay, "{expr}");
+        }
     }
 }

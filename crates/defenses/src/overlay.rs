@@ -204,20 +204,10 @@ impl Overlay {
     /// uses to deduplicate candidates.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for w in self.0 {
-            eat(w.knob.token().as_bytes());
-            eat(&[b'=', u8::from(w.value), 0]);
-        }
-        h
+        self.0.iter().fold(crate::FNV_OFFSET, |h, w| {
+            let h = crate::fnv1a(w.knob.token().as_bytes(), h);
+            crate::fnv1a(&[b'=', u8::from(w.value), 0], h)
+        })
     }
 }
 

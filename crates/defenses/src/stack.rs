@@ -309,25 +309,18 @@ impl DefenseStack {
     /// strategies plus the merged overlay writes.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        use crate::{fnv1a, FNV_OFFSET};
+        let mut h = FNV_OFFSET;
         for d in &self.members {
-            eat(d.name.as_bytes());
-            eat(&[0]);
-            eat(d.strategy.token().as_bytes());
-            eat(&[0]);
+            h = fnv1a(d.name.as_bytes(), h);
+            h = fnv1a(&[0], h);
+            h = fnv1a(d.strategy.token().as_bytes(), h);
+            h = fnv1a(&[0], h);
         }
-        eat(&[1]);
+        h = fnv1a(&[1], h);
         for w in self.overlay_writes() {
-            eat(w.knob.token().as_bytes());
-            eat(&[b'=', u8::from(w.value), 0]);
+            h = fnv1a(w.knob.token().as_bytes(), h);
+            h = fnv1a(&[b'=', u8::from(w.value), 0], h);
         }
         h
     }

@@ -81,8 +81,8 @@ pub fn verify_stack(
 
 /// [`verify_stack`] on a warm machine: identical verdicts, but the
 /// simulation reuses `runner`'s pooled machine instead of building one per
-/// call. This is the campaign executor's hot path — one runner per worker
-/// thread amortizes machine construction across thousands of cells.
+/// call — the verdict store's miss path, where one pooled runner
+/// amortizes machine construction across thousands of queries.
 ///
 /// # Errors
 ///

@@ -9,7 +9,7 @@
 /// knob here (see the builder methods).
 ///
 /// Construct via [`UarchConfig::builder`] or use `Default`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UarchConfig {
     // ---- capacity ----
     /// Re-order buffer capacity in instructions.

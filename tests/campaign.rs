@@ -278,6 +278,9 @@ mod sharding_and_incremental {
         #[test]
         fn incremental_rerun_against_saved_matrix_is_free(n in 1usize..8) {
             let spec = grid_spec();
+            let (_, full) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+            prop_assert_eq!(full.evaluated, spec.total_tasks());
+            prop_assert!(full.simulations <= full.evaluated);
             let parts = spec
                 .shards(n)
                 .iter()
@@ -287,6 +290,7 @@ mod sharding_and_incremental {
             let (again, report) =
                 CampaignMatrix::run_incremental(&spec, Some(&merged)).unwrap();
             prop_assert_eq!(report.evaluated, 0);
+            prop_assert_eq!(report.simulations, 0);
             prop_assert_eq!(report.reused, spec.total_tasks());
             prop_assert_eq!(again.to_json(), merged.to_json());
         }
@@ -342,6 +346,7 @@ mod sharding_and_incremental {
         let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix)).unwrap();
         assert_eq!(report.evaluated, 0);
         assert_eq!(report.graph_verdicts, 0);
+        assert_eq!(report.simulations, 0);
     }
 
     #[test]
@@ -423,5 +428,232 @@ mod sharding_and_incremental {
             CampaignMatrix::run(&changed).unwrap().to_json(),
             "incremental result must equal a fresh run"
         );
+    }
+}
+
+/// The executor runs each distinct (attack, effective machine) once and
+/// builds every task's row from that one simulation. These tests pin the
+/// sharing against the cold per-task path, with no sharing at all.
+mod shared_simulations {
+    use attacks::AttackError;
+    use specgraph::campaign::{Knob, NamedConfig};
+    use specgraph::prelude::*;
+    use std::collections::{HashMap, HashSet};
+    use std::sync::Mutex;
+    use uarch::{UarchConfig, UarchError};
+
+    fn find(name: &str) -> Defense {
+        *defenses::resolve(name).expect("catalog defense")
+    }
+
+    /// Stacks and slices chosen to collide: LFENCE and MFENCE write the
+    /// same knob as the `no-spec-loads` slice, NDA and STT the knobs of
+    /// their namesake slices, `mask-coarse` is graph-only, and the last
+    /// slice repeats the first under another name.
+    fn duplicate_heavy_spec(base: UarchConfig) -> CampaignSpec {
+        let mut spec = CampaignSpec::builder(base)
+            .attacks(attacks::registry().iter().copied().take(4))
+            .defenses(["NDA", "STT", "lfence", "mfence", "mask-coarse"].map(find))
+            .axis(Knob::Hardening, Hardening::figure8())
+            .threads(2)
+            .build();
+        let repeat = spec.configs[0].config.clone();
+        spec.configs
+            .push(NamedConfig::new("baseline again", repeat));
+        spec
+    }
+
+    /// The effective machine of every simulated task, keyed the way the
+    /// executor keys it: `(attack index, config)`.
+    fn machines(spec: &CampaignSpec) -> Vec<(usize, UarchConfig)> {
+        let mut out = Vec::new();
+        for ai in 0..spec.attacks.len() {
+            for nc in &spec.configs {
+                out.push((ai, nc.config.clone()));
+            }
+        }
+        for ai in 0..spec.attacks.len() {
+            for stack in &spec.defenses {
+                for nc in &spec.configs {
+                    out.extend(stack.apply(&nc.config).map(|cfg| (ai, cfg)));
+                }
+            }
+        }
+        out
+    }
+
+    /// What a timed-out cold run reports, or the cold result itself.
+    fn cold<T>(result: Result<T, AttackError>) -> Result<T, CellOutcome> {
+        match result {
+            Ok(v) => Ok(v),
+            Err(AttackError::Uarch(UarchError::CycleLimitExceeded { limit })) => {
+                Err(CellOutcome::TimedOut { limit })
+            }
+            Err(e) => panic!("cold run failed: {e}"),
+        }
+    }
+
+    /// Every row equals what `Attack::run` / `defenses::verify_stack`
+    /// give for that task alone.
+    fn assert_rows_match_the_cold_path(spec: &CampaignSpec, matrix: &CampaignMatrix) {
+        for attack in &spec.attacks {
+            let name = attack.info().name;
+            for (ci, nc) in spec.configs.iter().enumerate() {
+                let row = matrix.baseline(name, ci).expect("baseline row");
+                match cold(attack.run(&nc.config)) {
+                    Ok(out) => {
+                        assert_eq!(row.outcome, CellOutcome::Ok, "{name} @ {}", nc.name);
+                        assert_eq!(
+                            (row.leaked, row.recovered, row.cycles),
+                            (out.leaked, out.recovered, out.cycles),
+                            "{name} @ {}",
+                            nc.name
+                        );
+                    }
+                    Err(outcome) => assert_eq!(row.outcome, outcome, "{name} @ {}", nc.name),
+                }
+                for stack in &spec.defenses {
+                    let cell = matrix.cell(name, stack.name(), ci).expect("cell");
+                    let (mechanism, outcome) =
+                        match cold(defenses::verify_stack(stack, *attack, &nc.config)) {
+                            Ok(verdict) => (verdict, CellOutcome::Ok),
+                            Err(outcome) => (Verdict::GraphOnly, outcome),
+                        };
+                    let at = format!("{name} × {} @ {}", stack.name(), nc.name);
+                    assert_eq!(cell.evaluation.mechanism, mechanism, "{at}");
+                    assert_eq!(cell.outcome, outcome, "{at}");
+                    assert_eq!(
+                        cell.evaluation.strategy_sufficient,
+                        stack.graph_sufficient(*attack).unwrap(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shared_row_equals_the_cold_per_task_path() {
+        let spec = duplicate_heavy_spec(UarchConfig::default());
+        let (matrix, report) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+        assert_rows_match_the_cold_path(&spec, &matrix);
+
+        let distinct: HashSet<_> = machines(&spec).into_iter().collect();
+        assert_eq!(report.evaluated, spec.total_tasks());
+        assert_eq!(report.simulations, distinct.len());
+        assert!(
+            report.simulations < machines(&spec).len(),
+            "the spec was built to share simulations"
+        );
+    }
+
+    #[test]
+    fn a_cycle_cap_times_out_every_sharer() {
+        let base = UarchConfig {
+            max_cycles: 150,
+            ..UarchConfig::default()
+        };
+        let mut spec = duplicate_heavy_spec(base);
+        spec.resilience.degrade_timeouts = true;
+        let matrix = CampaignMatrix::run(&spec).unwrap();
+        assert_rows_match_the_cold_path(&spec, &matrix);
+
+        // Some capped machine is read by several rows, and all of them
+        // report the one timeout.
+        let mut rows_per_machine: HashMap<(usize, UarchConfig), usize> = HashMap::new();
+        for key in machines(&spec) {
+            *rows_per_machine.entry(key).or_default() += 1;
+        }
+        let shared_timeout = rows_per_machine.iter().any(|((ai, cfg), &rows)| {
+            rows > 1
+                && matches!(
+                    cold(spec.attacks[*ai].run(cfg)),
+                    Err(CellOutcome::TimedOut { .. })
+                )
+        });
+        assert!(shared_timeout, "no timed-out simulation was shared");
+        assert!(matrix.timed_out() > 0);
+    }
+
+    #[test]
+    fn a_panicking_simulation_quarantines_every_sharer_alike() {
+        let double = PanickingAttack::wrap(attacks::find(attacks::names::MELTDOWN).unwrap());
+        let mut spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks([
+                double as &'static dyn Attack,
+                attacks::find(attacks::names::RETBLEED).unwrap(),
+            ])
+            .defenses(["lfence", "mfence", "mask-coarse"].map(find))
+            .threads(2)
+            .build();
+        spec.resilience.backoff = std::time::Duration::ZERO;
+        let (matrix, report) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+
+        // Per attack: the baseline plus one machine both fences share.
+        assert_eq!(report.simulations, 4);
+        let name = double.info().name;
+        let reasons = [defenses::names::LFENCE, defenses::names::MFENCE]
+            .map(|d| &matrix.cell(name, d, 0).expect("cell").outcome);
+        assert!(
+            matches!(reasons[0], CellOutcome::Quarantined { reason } if reason.contains("injected fault")),
+            "{:?}",
+            reasons[0]
+        );
+        assert_eq!(reasons[0], reasons[1], "sharers must carry the same reason");
+        assert!(matches!(
+            matrix.baseline(name, 0).unwrap().outcome,
+            CellOutcome::Quarantined { .. }
+        ));
+        // The graph-only cell never simulates, so it cannot panic.
+        let graph_only = matrix
+            .cell(name, defenses::names::ADDRESS_MASKING_COARSE, 0)
+            .expect("cell");
+        assert_eq!(
+            (graph_only.evaluation.mechanism, &graph_only.outcome),
+            (Verdict::GraphOnly, &CellOutcome::Ok)
+        );
+        assert_eq!(matrix.quarantined(), 3);
+    }
+
+    #[test]
+    fn progress_fires_once_per_task_with_sharing() {
+        let spec = duplicate_heavy_spec(UarchConfig::default());
+        let seen: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
+        let observer = |e: TaskEvent| seen.lock().unwrap().push(e);
+        let (_, report) =
+            CampaignMatrix::run_incremental_observed(&spec, None, Some(&observer)).unwrap();
+        assert!(report.simulations < report.evaluated);
+
+        let events = seen.into_inner().unwrap();
+        let total = spec.total_tasks();
+        assert_eq!(events.len(), total, "one event per task");
+        assert!(events.iter().all(|e| e.total == total));
+        let mut completed: Vec<usize> = events.iter().map(|e| e.completed).collect();
+        completed.sort_unstable();
+        assert_eq!(completed, (1..=total).collect::<Vec<_>>());
+        let per_slice = spec.attacks.len() * (1 + spec.defenses.len());
+        for ci in 0..spec.configs.len() {
+            assert_eq!(
+                events.iter().filter(|e| e.config == ci).count(),
+                per_slice,
+                "slice {ci}"
+            );
+        }
+    }
+
+    #[test]
+    fn registry_figure8_grid_runs_1452_simulations_for_3410_tasks() {
+        let forward = CampaignSpec::builder(UarchConfig::default())
+            .axis(Knob::Hardening, Hardening::figure8())
+            .build();
+        let mut reversed = forward.clone();
+        reversed.attacks.reverse();
+        reversed.defenses.reverse();
+        reversed.configs.reverse();
+        for spec in [forward, reversed] {
+            let (_, report) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+            assert_eq!(report.evaluated, 3410);
+            assert_eq!(report.simulations, 1452);
+        }
     }
 }
